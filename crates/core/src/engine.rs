@@ -1,11 +1,14 @@
-//! Shared search-engine internals: candidate arena, priority queue and
+//! Shared search-engine internals: candidate arena, priority queues and
 //! inferiority pruning.
 //!
-//! All three algorithms (fast path, RBP, GALS) are label-correcting
-//! searches over the grid graph whose candidates carry a downstream
-//! capacitance `c` and a delay `d`. This module centralises the mechanics
-//! they share so the algorithm files contain only the logic the paper
-//! actually describes.
+//! All four searches (fast path, RBP, GALS and latch routing) are
+//! label-correcting searches over the grid graph whose candidates carry
+//! a downstream capacitance `c` and a delay `d`. This module holds the
+//! data structures they run on. The arena engine's one search loop over
+//! them lives in the [`search`](crate::search) driver, so the algorithm
+//! files contain only the rules the paper describes; the `Legacy` engine
+//! keeps its own four loops over [`DelayQueue`] and [`PruneTable`] as
+//! the equivalence reference.
 
 use clockroute_elmore::GateId;
 use clockroute_grid::NodeId;

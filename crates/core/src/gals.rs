@@ -25,11 +25,9 @@
 
 use crate::budget::{BudgetMeter, SearchStage};
 use crate::ctx::Ctx;
-use crate::engine::{
-    Arena, Cand, CandArena, DelayQueue, DialQueue, EngineKind, PruneTable, SearchQueue,
-    SortedFronts, NO_PARENT,
-};
+use crate::engine::{Arena, Cand, DelayQueue, EngineKind, PruneTable, NO_PARENT};
 use crate::failpoint::{self, FailAction};
+use crate::search::{self, Found, Rules, Search};
 use crate::telemetry::TelemetryHandle;
 use crate::{GalsSolution, RouteError, RoutedPath, SearchBudget, SearchStats};
 use clockroute_elmore::{GateId, GateKind, GateLibrary, Technology};
@@ -369,8 +367,7 @@ fn solve_legacy(
     }
 }
 
-/// Arena-engine search: flat candidate storage, monotone bucket queues
-/// (the latency-keyed `Q*` included), and sorted Pareto fronts. Returns
+/// Arena-engine search: the search driver with the rules below. Returns
 /// exactly what [`solve_legacy`] returns. No goal pruning: the
 /// two-domain latency objective has no admissible single-period bound.
 fn solve_arena(
@@ -380,225 +377,142 @@ fn solve_arena(
     budget: SearchBudget,
     stats: &mut SearchStats,
 ) -> Result<GalsSolution, RouteError> {
-    let graph = ctx.graph;
-    let n = graph.node_count();
-    let mut meter = BudgetMeter::new(budget, SearchStage::Gals);
-    let mut arena = Arena::new();
-    let mut cands = CandArena::new();
-    // Separate Pareto fronts per z: key = node·2 + z.
-    let mut fronts = SortedFronts::new(n * 2);
-    // A_0 / A_1: register inserted at v with the given z; F: FIFO at v.
-    let mut reg_marked = [vec![false; n], vec![false; n]];
-    let mut fifo_marked = vec![false; n];
-
+    let n = ctx.graph.node_count();
     let fifo = ctx.lib.gate(ctx.lib.mcfifo());
-    let fifo_res = fifo.driver_res().ohms();
-    let fifo_cap = fifo.input_cap().ff();
-    let fifo_k = fifo.intrinsic().ps();
-    let fifo_setup = fifo.setup().ps();
-    let fifo_id = ctx.lib.mcfifo();
+    let mut rules = Gals {
+        t_s,
+        t_t,
+        reg_marked: [vec![false; n], vec![false; n]],
+        fifo_marked: vec![false; n],
+        fifo_res: fifo.driver_res().ohms(),
+        fifo_cap: fifo.input_cap().ff(),
+        fifo_k: fifo.intrinsic().ps(),
+        fifo_setup: fifo.setup().ps(),
+    };
+    let (path, ()) = search::run(ctx, &mut rules, budget, stats)?;
+    Ok(solution(ctx, path, t_s, t_t, *stats))
+}
 
-    let mut queue = DialQueue::new(ctx.queue_scale());
-    // Q*: next wave fronts, keyed by latency `l` — bucketed by the
-    // faster period, the smallest latency increment a stage can add.
-    let mut qstar = DialQueue::new(t_s.min(t_t));
+/// GALS's rules (Fig. 12 steps 4–9) for the search driver: separate
+/// Pareto fronts per `z`, and `Q*` keyed by latency `l`, so each wave
+/// holds the candidates of one latency.
+struct Gals {
+    t_s: f64,
+    t_t: f64,
+    /// A_0 / A_1: register inserted at v with the given z.
+    reg_marked: [Vec<bool>; 2],
+    /// F: FIFO inserted at v.
+    fifo_marked: Vec<bool>,
+    fifo_res: f64,
+    fifo_cap: f64,
+    fifo_k: f64,
+    fifo_setup: f64,
+}
 
-    let gt = ctx.lib.gate(ctx.gt);
-    let root = arena.push(ctx.t, None, NO_PARENT);
-    let start = Cand::start(gt.input_cap().ff(), gt.setup().ps(), root, ctx.t);
-    let sidx = cands.alloc(&start);
-    if fronts.admits(ctx.t.index() * 2, start.cap, start.delay, 0.0, false) {
-        fronts.insert(
-            ctx.t.index() * 2,
-            start.cap,
-            start.delay,
-            0.0,
-            false,
-            sidx,
-            &mut cands,
-            &mut stats.pruned,
-        );
+impl Rules for Gals {
+    const STAGE: SearchStage = SearchStage::Gals;
+    const POP_SITE: &'static str = "gals::pop";
+    const FRONTS_PER_NODE: usize = 2;
+    type Found = ();
+
+    fn front(&self, c: &Cand) -> usize {
+        usize::from(c.fifo_inserted)
     }
-    queue.push(start.delay, sidx);
-    stats.record_push(queue.len());
 
-    loop {
-        while let Some(qidx) = queue.pop() {
-            // Entry evicted from its front while queued: the slot was
-            // reclaimed, so skip before charging anything.
-            if cands.is_dead(qidx) {
-                continue;
-            }
-            match failpoint::hit("gals::pop") {
-                Some(FailAction::Panic) => panic!("failpoint gals::pop: forced panic"),
-                Some(FailAction::BudgetExhausted) => return Err(meter.exceeded()),
-                Some(FailAction::NoRoute) => return Err(RouteError::NoFeasibleRoute),
-                // I/O actions only apply at `serve::*` sites; inert here.
-                Some(FailAction::IoError | FailAction::ShortIo) | None => {}
-            }
-            let cand = cands.get(qidx);
-            stats.budget_charges += 1;
-            stats.arena_steps = arena.len() as u64;
-            meter.charge_pop(arena.len())?;
-            stats.configs += 1;
-            let z = cand.fifo_inserted;
-            let key = cand.node.index() * 2 + usize::from(z);
-            if fronts.is_stale(key, cand.cap, cand.delay, 0.0, !cand.gate_here) {
-                stats.stale_skipped += 1;
-                continue;
-            }
-            let t_cur = t_of(z, t_s, t_t);
+    #[inline]
+    fn expand(
+        &mut self,
+        s: &mut Search<'_, '_>,
+        cand: &Cand,
+    ) -> Result<Option<Found<()>>, RouteError> {
+        let ctx = s.ctx;
+        let graph = ctx.graph;
+        let z = cand.fifo_inserted;
+        let t_cur = t_of(z, self.t_s, self.t_t);
 
-            // Step 4: source arrival — accept only with the FIFO inserted.
-            if cand.node == ctx.s && z {
-                let total = ctx.finish_at_source(cand.cap, cand.delay);
-                if total <= t_s {
-                    stats.arena_steps = arena.len() as u64;
-                    stats.front_comparisons = fronts.comparisons();
-                    return Ok(build(ctx, &arena, cand, t_s, t_t, *stats));
-                }
+        // Step 4: source arrival — accept only with the FIFO inserted.
+        if cand.node == ctx.s && z && ctx.finish_at_source(cand.cap, cand.delay) <= self.t_s {
+            return Ok(Some((cand.trail, ())));
+        }
+
+        // Step 5: wire expansion, bounded by the current domain period.
+        for v in graph.neighbors(cand.node) {
+            s.charge_expand()?;
+            let (re, ce) = ctx.edge(cand.node, v);
+            let mut next = *cand;
+            next.node = v;
+            next.cap = cand.cap + ce;
+            next.delay = cand.delay + re * (cand.cap + ce / 2.0);
+            if next.delay > t_cur - ctx.reg_k - ctx.min_res * next.cap * 1.0e-3 {
+                s.stats.bound_rejected += 1;
+            } else {
+                s.offer(self, next, None);
             }
+        }
 
-            // Step 5: wire expansion, bounded by the current domain period.
-            for v in graph.neighbors(cand.node) {
-                stats.budget_charges += 1;
-                meter.charge_expand()?;
-                let (re, ce) = ctx.edge(cand.node, v);
-                let cap = cand.cap + ce;
-                let delay = cand.delay + re * (cand.cap + ce / 2.0);
-                if delay > t_cur - ctx.reg_k - ctx.min_res * cap * 1.0e-3 {
-                    stats.bound_rejected += 1;
-                    continue;
-                }
-                let vkey = v.index() * 2 + usize::from(z);
-                if !fronts.admits(vkey, cap, delay, 0.0, true) {
-                    stats.pruned += 1;
-                    continue;
-                }
-                let trail = arena.push(v, None, cand.trail);
-                let mut next = cand;
-                next.cap = cap;
-                next.delay = delay;
-                next.node = v;
-                next.trail = trail;
-                next.gate_here = false;
-                let nidx = cands.alloc(&next);
-                fronts.insert(vkey, cap, delay, 0.0, true, nidx, &mut cands, &mut stats.pruned);
-                queue.push(delay, nidx);
-                stats.record_push(queue.len());
-            }
+        let internal = cand.node != ctx.s && cand.node != ctx.t && !cand.gate_here;
 
-            let internal = cand.node != ctx.s && cand.node != ctx.t && !cand.gate_here;
-
-            // Step 7: buffers (remember each stands for a pair, one per
-            // signal direction — §IV-B).
-            if internal && graph.is_insertable(cand.node) {
-                for b in &ctx.buffers {
-                    stats.budget_charges += 1;
-                    meter.charge_expand()?;
-                    let cap = b.cap;
-                    let delay = cand.delay + b.res * cand.cap * 1.0e-3 + b.k;
-                    if delay > t_cur - ctx.reg_k {
-                        stats.bound_rejected += 1;
-                        continue;
-                    }
-                    if !fronts.admits(key, cap, delay, 0.0, false) {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    let trail = arena.push(cand.node, Some(b.id), cand.trail);
-                    let mut next = cand;
-                    next.cap = cap;
-                    next.delay = delay;
-                    next.trail = trail;
-                    next.gate_here = true;
-                    let nidx = cands.alloc(&next);
-                    fronts.insert(key, cap, delay, 0.0, false, nidx, &mut cands, &mut stats.pruned);
-                    queue.push(delay, nidx);
-                    stats.record_push(queue.len());
-                }
-            }
-
-            // Step 8: relay station (register) insertion → next wave,
-            // latency grows by the current domain period.
-            if internal
-                && graph.is_register_allowed(cand.node)
-                && !reg_marked[usize::from(z)][cand.node.index()]
-            {
-                let stage = ctx.register_stage(cand.cap, cand.delay);
-                if stage <= t_cur {
-                    reg_marked[usize::from(z)][cand.node.index()] = true;
-                    let trail = arena.push(cand.node, Some(ctx.reg_id), cand.trail);
-                    let mut next = cand;
-                    next.cap = ctx.reg_cap;
-                    next.delay = ctx.reg_setup;
-                    next.trail = trail;
-                    next.gate_here = true;
-                    next.latency = cand.latency + t_cur;
-                    qstar.push(next.latency, cands.alloc(&next));
+        // Step 7: buffers (remember each stands for a pair, one per
+        // signal direction — §IV-B).
+        if internal && graph.is_insertable(cand.node) {
+            for b in &ctx.buffers {
+                s.charge_expand()?;
+                let mut next = *cand;
+                next.cap = b.cap;
+                next.delay = cand.delay + b.res * cand.cap * 1.0e-3 + b.k;
+                if next.delay > t_cur - ctx.reg_k {
+                    s.stats.bound_rejected += 1;
                 } else {
-                    stats.bound_rejected += 1;
-                }
-            }
-
-            // Step 9: MCFIFO insertion (only once, only before any FIFO),
-            // latency grows by T_t (the FIFO's get interface launches the
-            // downstream stage on the receiver clock).
-            if internal && !z && graph.is_register_allowed(cand.node) && !fifo_marked[cand.node.index()]
-            {
-                let stage = cand.delay + fifo_res * cand.cap * 1.0e-3 + fifo_k;
-                if stage <= t_cur {
-                    fifo_marked[cand.node.index()] = true;
-                    let trail = arena.push(cand.node, Some(fifo_id), cand.trail);
-                    let mut next = cand;
-                    next.cap = fifo_cap;
-                    next.delay = fifo_setup;
-                    next.trail = trail;
-                    next.gate_here = true;
-                    next.fifo_inserted = true;
-                    next.latency = cand.latency + t_t;
-                    qstar.push(next.latency, cands.alloc(&next));
-                } else {
-                    stats.bound_rejected += 1;
+                    s.offer(self, next, Some(b.id));
                 }
             }
         }
 
-        // ExtractAllMin(Q*): promote the minimum-latency wave front.
-        let Some(l_min) = qstar.peek_key() else {
-            stats.arena_steps = arena.len() as u64;
-            stats.front_comparisons = fronts.comparisons();
-            return Err(RouteError::NoFeasibleRoute);
-        };
-        stats.waves += 1;
-        fronts.advance_wave();
-        while qstar.peek_key() == Some(l_min) {
-            stats.budget_charges += 1;
-            stats.promoted += 1;
-            meter.charge_expand()?;
-            // crlint-allow: CR002 `peek_key` on the same queue just returned Some
-            let nidx = qstar.pop().expect("peeked");
-            let cand = cands.get(nidx);
-            let key = cand.node.index() * 2 + usize::from(cand.fifo_inserted);
-            // Mirrors the legacy unconditional promotion: file into the
-            // front when admissible, but push regardless — a dominated
-            // seed is caught by `is_stale` at its pop, exactly as the
-            // reference engine does.
-            if fronts.admits(key, cand.cap, cand.delay, 0.0, false) {
-                fronts.insert(
-                    key,
-                    cand.cap,
-                    cand.delay,
-                    0.0,
-                    false,
-                    nidx,
-                    &mut cands,
-                    &mut stats.pruned,
-                );
+        // Step 8: relay station (register) insertion → next wave,
+        // latency grows by the current domain period.
+        let marked = &mut self.reg_marked[usize::from(z)][cand.node.index()];
+        if internal && graph.is_register_allowed(cand.node) && !*marked {
+            let stage = ctx.register_stage(cand.cap, cand.delay);
+            if stage <= t_cur {
+                *marked = true;
+                let mut next = *cand;
+                next.cap = ctx.reg_cap;
+                next.delay = ctx.reg_setup;
+                next.latency = cand.latency + t_cur;
+                s.stash(next, ctx.reg_id, next.latency);
+            } else {
+                s.stats.bound_rejected += 1;
             }
-            queue.push(cand.delay, nidx);
-            stats.record_push(queue.len());
         }
+
+        // Step 9: MCFIFO insertion (only once, only before any FIFO),
+        // latency grows by T_t (the FIFO's get interface launches the
+        // downstream stage on the receiver clock).
+        if internal
+            && !z
+            && graph.is_register_allowed(cand.node)
+            && !self.fifo_marked[cand.node.index()]
+        {
+            let stage = cand.delay + self.fifo_res * cand.cap * 1.0e-3 + self.fifo_k;
+            if stage <= t_cur {
+                self.fifo_marked[cand.node.index()] = true;
+                let mut next = *cand;
+                next.cap = self.fifo_cap;
+                next.delay = self.fifo_setup;
+                next.fifo_inserted = true;
+                next.latency = cand.latency + self.t_t;
+                s.stash(next, ctx.lib.mcfifo(), next.latency);
+            } else {
+                s.stats.bound_rejected += 1;
+            }
+        }
+        Ok(None)
+    }
+
+    /// `Q*` buckets by the faster period, the smallest latency increment
+    /// a stage can add.
+    fn wave_scale(&self) -> f64 {
+        self.t_s.min(self.t_t)
     }
 }
 
@@ -616,11 +530,23 @@ fn build(
     labels[0] = Some(ctx.gs);
     let last = labels.len() - 1;
     labels[last] = Some(ctx.gt);
+    let path = RoutedPath::new(points, labels, ctx.lib);
+    solution(ctx, path, t_s, t_t, stats)
+}
+
+fn solution(
+    ctx: &Ctx<'_>,
+    path: RoutedPath,
+    t_s: f64,
+    t_t: f64,
+    stats: SearchStats,
+) -> GalsSolution {
     // Count relay stations on each side of the FIFO.
     let mut regs_source_side = 0;
     let mut regs_sink_side = 0;
     let mut seen_fifo = false;
-    for &label in labels.iter().take(last).skip(1) {
+    let labels = path.labels();
+    for &label in labels.iter().take(labels.len() - 1).skip(1) {
         if let Some(id) = label {
             match ctx.lib.gate(id).kind() {
                 GateKind::McFifo => seen_fifo = true,
@@ -636,7 +562,7 @@ fn build(
         }
     }
     GalsSolution {
-        path: RoutedPath::new(points, labels, ctx.lib),
+        path,
         t_s: Time::from_ps(t_s),
         t_t: Time::from_ps(t_t),
         regs_source_side,

@@ -29,12 +29,10 @@
 
 use crate::budget::{BudgetMeter, SearchStage};
 use crate::ctx::Ctx;
-use crate::engine::{
-    Arena, Cand, CandArena, DelayQueue, DialQueue, EngineKind, PruneTable, SearchQueue,
-    SortedFronts, NO_PARENT,
-};
+use crate::engine::{Arena, Cand, DelayQueue, EngineKind, PruneTable, NO_PARENT};
 use crate::failpoint::{self, FailAction};
 use crate::goal::{probe_rbp, GoalBound};
+use crate::search::{self, Found, Rules, Search, WaveEnd};
 use crate::telemetry::TelemetryHandle;
 use crate::{RbpSolution, RouteError, RoutedPath, SearchBudget, SearchStats};
 use clockroute_elmore::{GateId, GateLibrary, Technology};
@@ -503,13 +501,12 @@ impl<'a> RbpSpec<'a> {
         }
     }
 
-    /// Arena-engine search: flat candidate storage, monotone bucket
-    /// queue, sorted Pareto fronts, and (optionally) admissible
-    /// wave-budget goal pruning. Returns exactly what
-    /// [`run_legacy`](RbpSpec::run_legacy) returns.
+    /// Arena-engine search: the search driver with the rules below, plus
+    /// (optionally) admissible wave-budget goal pruning. Returns exactly
+    /// what [`run_legacy`](RbpSpec::run_legacy) returns.
     fn run_arena(
         &self,
-        mut trace: Option<&mut WaveTrace>,
+        trace: Option<&mut WaveTrace>,
         stats: &mut SearchStats,
     ) -> Result<(RbpSolution, ()), RouteError> {
         let t_phi = self.period.ok_or(RouteError::InvalidPeriod)?;
@@ -526,329 +523,31 @@ impl<'a> RbpSpec<'a> {
             self.sink_gate,
         )?;
         let t = t_phi.ps();
-        let slack_mode = self.tie_break == TieBreak::MaxEndpointSlack;
-
-        let graph = ctx.graph;
-        let n = graph.node_count();
-        let mut meter = BudgetMeter::new(self.budget, SearchStage::Rbp);
-        let mut arena = Arena::new();
-        let mut cands = CandArena::new();
-        let mut fronts = SortedFronts::new(n);
-        let mut reg_marked = vec![false; n];
-
-        let scale = ctx.queue_scale();
-        let mut queue = DialQueue::new(scale);
-        let mut spill: Vec<u32> = Vec::new();
-        let mut wave_queues: Vec<DialQueue> = Vec::new();
-
-        // Upper bound on the optimal register count from the canonical
-        // staircase probe. `None` disables goal pruning entirely.
-        let bound = GoalBound::new(&ctx);
-        let p_ub = if self.goal_prune {
-            probe_rbp(&ctx, t)
-        } else {
-            None
+        let mut rules = Rbp {
+            t,
+            tie_break: self.tie_break,
+            wire_bound: self.wire_bound,
+            bound: GoalBound::new(&ctx),
+            // Upper bound on the optimal register count from the canonical
+            // staircase probe. `None` disables goal pruning entirely.
+            p_ub: if self.goal_prune {
+                probe_rbp(&ctx, t)
+            } else {
+                None
+            },
+            reg_marked: vec![false; ctx.graph.node_count()],
+            best: None,
+            trace,
         };
-
-        let gt = ctx.lib.gate(ctx.gt);
-        let root = arena.push(ctx.t, None, NO_PARENT);
-        let start = Cand::start(gt.input_cap().ff(), gt.setup().ps(), root, ctx.t);
-        let sidx = cands.alloc(&start);
-        if fronts.admits(ctx.t.index(), start.cap, start.delay, 0.0, false) {
-            fronts.insert(
-                ctx.t.index(),
-                start.cap,
-                start.delay,
-                0.0,
-                false,
-                sidx,
-                &mut cands,
-                &mut stats.pruned,
-            );
-        }
-        queue.push(start.delay, sidx);
-        stats.record_push(queue.len());
-
-        let mut best: Option<(f64, u32, f64, f64)> = None;
-
-        loop {
-            while let Some(qidx) = queue.pop() {
-                // Entry evicted from its front while queued: the slot was
-                // reclaimed, so skip before charging anything.
-                if cands.is_dead(qidx) {
-                    continue;
-                }
-                match failpoint::hit("rbp::pop") {
-                    Some(FailAction::Panic) => panic!("failpoint rbp::pop: forced panic"),
-                    Some(FailAction::BudgetExhausted) => return Err(meter.exceeded()),
-                    Some(FailAction::NoRoute) => return Err(RouteError::NoFeasibleRoute),
-                    // I/O actions only apply at `serve::*` sites; inert here.
-                    Some(FailAction::IoError | FailAction::ShortIo) | None => {}
-                }
-                let cand = cands.get(qidx);
-                stats.budget_charges += 1;
-                stats.arena_steps = arena.len() as u64;
-                meter.charge_pop(arena.len())?;
-                stats.configs += 1;
-                let extra = prune_extra(slack_mode, cand.sink_stage);
-                if fronts.is_stale(cand.node.index(), cand.cap, cand.delay, extra, !cand.gate_here)
-                {
-                    stats.stale_skipped += 1;
-                    continue;
-                }
-
-                // Step 4: source arrival.
-                if cand.node == ctx.s {
-                    let total = ctx.finish_at_source(cand.cap, cand.delay);
-                    if total <= t {
-                        let sink_stage = if cand.sink_stage.is_nan() {
-                            total
-                        } else {
-                            cand.sink_stage
-                        };
-                        match self.tie_break {
-                            TieBreak::FirstFound => {
-                                stats.arena_steps = arena.len() as u64;
-                                stats.front_comparisons = fronts.comparisons();
-                                return Ok((
-                                    self.build(&ctx, &arena, cand.trail, t_phi, *stats, total,
-                                               sink_stage),
-                                    (),
-                                ));
-                            }
-                            TieBreak::MaxEndpointSlack => {
-                                let slack_sum = (t - total) + (t - sink_stage);
-                                if best.is_none_or(|(s, ..)| slack_sum > s) {
-                                    best = Some((slack_sum, cand.trail, total, sink_stage));
-                                }
-                            }
-                        }
-                    }
-                    // An infeasible (or slack-mode) arrival keeps expanding
-                    // normally: other routes may pass through this node.
-                }
-
-                // Step 5: wire expansion with admissible bound.
-                for v in graph.neighbors(cand.node) {
-                    stats.budget_charges += 1;
-                    meter.charge_expand()?;
-                    let (re, ce) = ctx.edge(cand.node, v);
-                    let cap = cand.cap + ce;
-                    let delay = cand.delay + re * (cand.cap + ce / 2.0);
-                    if self.wire_bound
-                        && delay > t - ctx.reg_k - ctx.min_res * cap * 1.0e-3
-                    {
-                        stats.bound_rejected += 1;
-                        continue;
-                    }
-                    if let Some(p_ub) = p_ub {
-                        if bound.doomed_wave(
-                            graph.point(v),
-                            cap,
-                            delay,
-                            p_ub.saturating_sub(stats.waves),
-                            t,
-                        ) {
-                            stats.goal_pruned += 1;
-                            continue;
-                        }
-                    }
-                    if !fronts.admits(v.index(), cap, delay, extra, true) {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    let trail = arena.push(v, None, cand.trail);
-                    let mut next = cand;
-                    next.cap = cap;
-                    next.delay = delay;
-                    next.node = v;
-                    next.trail = trail;
-                    next.gate_here = false;
-                    let nidx = cands.alloc(&next);
-                    fronts.insert(
-                        v.index(),
-                        cap,
-                        delay,
-                        extra,
-                        true,
-                        nidx,
-                        &mut cands,
-                        &mut stats.pruned,
-                    );
-                    queue.push(delay, nidx);
-                    stats.record_push(queue.len());
-                }
-
-                let internal = cand.node != ctx.s && cand.node != ctx.t && !cand.gate_here;
-
-                // Step 7: buffer insertion (`d' ≤ T_φ − K(r)` bound).
-                if internal && graph.is_insertable(cand.node) {
-                    for b in &ctx.buffers {
-                        stats.budget_charges += 1;
-                        meter.charge_expand()?;
-                        let cap = b.cap;
-                        let delay = cand.delay + b.res * cand.cap * 1.0e-3 + b.k;
-                        if delay > t - ctx.reg_k {
-                            stats.bound_rejected += 1;
-                            continue;
-                        }
-                        if let Some(p_ub) = p_ub {
-                            if bound.doomed_wave(
-                                graph.point(cand.node),
-                                cap,
-                                delay,
-                                p_ub.saturating_sub(stats.waves),
-                                t,
-                            ) {
-                                stats.goal_pruned += 1;
-                                continue;
-                            }
-                        }
-                        if !fronts.admits(cand.node.index(), cap, delay, extra, false) {
-                            stats.pruned += 1;
-                            continue;
-                        }
-                        let trail = arena.push(cand.node, Some(b.id), cand.trail);
-                        let mut next = cand;
-                        next.cap = cap;
-                        next.delay = delay;
-                        next.trail = trail;
-                        next.gate_here = true;
-                        let nidx = cands.alloc(&next);
-                        fronts.insert(
-                            cand.node.index(),
-                            cap,
-                            delay,
-                            extra,
-                            false,
-                            nidx,
-                            &mut cands,
-                            &mut stats.pruned,
-                        );
-                        queue.push(delay, nidx);
-                        stats.record_push(queue.len());
-                    }
-                }
-
-                // Step 8: register insertion → next wave. Never goal-pruned:
-                // a claim resets the candidate to the register's own load,
-                // so the per-wave distance bound does not apply to it
-                // (DESIGN.md §15 claim-divergence argument).
-                if internal
-                    && graph.is_register_allowed(cand.node)
-                    && !reg_marked[cand.node.index()]
-                {
-                    let stage = ctx.register_stage(cand.cap, cand.delay);
-                    if stage <= t {
-                        reg_marked[cand.node.index()] = true;
-                        if let Some(trace) = trace.as_deref_mut() {
-                            let wave = stats.waves as usize;
-                            if trace.register_rings.len() <= wave {
-                                trace.register_rings.resize(wave + 1, Vec::new());
-                            }
-                            trace.register_rings[wave].push(graph.point(cand.node));
-                        }
-                        let trail = arena.push(cand.node, Some(ctx.reg_id), cand.trail);
-                        let mut next = cand;
-                        next.cap = ctx.reg_cap;
-                        next.delay = ctx.reg_setup;
-                        next.trail = trail;
-                        next.gate_here = true;
-                        if next.sink_stage.is_nan() {
-                            next.sink_stage = stage;
-                        }
-                        let nidx = cands.alloc(&next);
-                        match self.variant {
-                            RbpVariant::TwoQueue => spill.push(nidx),
-                            RbpVariant::QueueArray => {
-                                let idx = stats.waves as usize;
-                                if wave_queues.len() <= idx {
-                                    wave_queues.resize_with(idx + 1, || DialQueue::new(scale));
-                                }
-                                wave_queues[idx].push(next.delay, nidx);
-                            }
-                        }
-                    } else {
-                        stats.bound_rejected += 1;
-                    }
-                }
-            }
-
-            // Current wave exhausted.
-            if let Some((_, trail, source_stage, sink_stage)) = best.take() {
-                let total = source_stage;
-                stats.arena_steps = arena.len() as u64;
-                stats.front_comparisons = fronts.comparisons();
-                return Ok((
-                    self.build(&ctx, &arena, trail, t_phi, *stats, total, sink_stage),
-                    (),
-                ));
-            }
-
-            let next_wave: Vec<u32> = match self.variant {
-                RbpVariant::TwoQueue => std::mem::take(&mut spill),
-                RbpVariant::QueueArray => {
-                    let idx = stats.waves as usize;
-                    if wave_queues.len() <= idx {
-                        Vec::new()
-                    } else {
-                        let mut drained = Vec::new();
-                        // crlint-allow: CR005 bounded drain of entries already charged at push; no expansion work between pops
-                        while let Some(i) = wave_queues[idx].pop() {
-                            drained.push(i);
-                        }
-                        drained
-                    }
-                }
-            };
-            if next_wave.is_empty() {
-                stats.front_comparisons = fronts.comparisons();
-                return Err(RouteError::NoFeasibleRoute);
-            }
-            stats.waves += 1;
-            fronts.advance_wave();
-            for nidx in next_wave {
-                let cand = cands.get(nidx);
-                // A doomed seed cannot arrive feasibly within `p_ub`
-                // registers; its claim marking and trace ring entry are
-                // already recorded, so dropping the promotion only
-                // removes work (DESIGN.md §15).
-                if let Some(p_ub) = p_ub {
-                    if bound.doomed_wave(
-                        graph.point(cand.node),
-                        cand.cap,
-                        cand.delay,
-                        p_ub.saturating_sub(stats.waves),
-                        t,
-                    ) {
-                        stats.goal_pruned += 1;
-                        continue;
-                    }
-                }
-                stats.budget_charges += 1;
-                stats.promoted += 1;
-                meter.charge_expand()?;
-                let extra = prune_extra(slack_mode, cand.sink_stage);
-                // Mirrors the legacy unconditional promotion: file into the
-                // front when admissible, but push regardless — a dominated
-                // seed is caught by `is_stale` at its pop, exactly as the
-                // reference engine does.
-                if fronts.admits(cand.node.index(), cand.cap, cand.delay, extra, false) {
-                    fronts.insert(
-                        cand.node.index(),
-                        cand.cap,
-                        cand.delay,
-                        extra,
-                        false,
-                        nidx,
-                        &mut cands,
-                        &mut stats.pruned,
-                    );
-                }
-                queue.push(cand.delay, nidx);
-                stats.record_push(queue.len());
-            }
-        }
+        let (path, (source_stage, sink_stage)) = search::run(&ctx, &mut rules, self.budget, stats)?;
+        let sol = RbpSolution {
+            path,
+            period: t_phi,
+            stats: *stats,
+            source_stage: Time::from_ps(source_stage),
+            sink_stage: Time::from_ps(sink_stage),
+        };
+        Ok((sol, ()))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -884,6 +583,174 @@ fn prune_extra(slack_mode: bool, sink_stage: f64) -> f64 {
         sink_stage
     } else {
         0.0
+    }
+}
+
+/// RBP's rules (Fig. 5 steps 4–8) for the search driver.
+///
+/// Both queue organisations run on the driver's `Q*` keyed by register
+/// count, so `ExtractAllMin` hands back exactly the next wave. They
+/// promote identically: [`RbpVariant::TwoQueue`]'s spill keeps insertion
+/// order, and [`RbpVariant::QueueArray`]'s per-count queue orders by
+/// delay, which every seed shares (the register's setup time) — so the
+/// variant changes memory layout only in the Legacy engine.
+struct Rbp<'t> {
+    /// The clock period `T_φ` (ps).
+    t: f64,
+    tie_break: TieBreak,
+    wire_bound: bool,
+    bound: GoalBound,
+    /// Canonical-path upper bound on the register count; `None` disables
+    /// goal pruning.
+    p_ub: Option<u32>,
+    /// A(v): a register has been inserted at v in some candidate
+    /// (global across the run — paper difference #3).
+    reg_marked: Vec<bool>,
+    /// Best slack-mode arrival in the current wave:
+    /// (slack_sum, trail, source_stage, sink_stage).
+    best: Option<(f64, u32, f64, f64)>,
+    trace: Option<&'t mut WaveTrace>,
+}
+
+impl Rbp<'_> {
+    /// `true` if `c` cannot arrive feasibly within `p_ub` registers.
+    fn doomed(&self, s: &Search<'_, '_>, c: &Cand) -> bool {
+        self.p_ub.is_some_and(|p_ub| {
+            self.bound.doomed_wave(
+                s.ctx.graph.point(c.node),
+                c.cap,
+                c.delay,
+                p_ub.saturating_sub(s.stats.waves),
+                self.t,
+            )
+        })
+    }
+}
+
+impl Rules for Rbp<'_> {
+    const STAGE: SearchStage = SearchStage::Rbp;
+    const POP_SITE: &'static str = "rbp::pop";
+    /// `(source stage, sink stage)` delays (ps).
+    type Found = (f64, f64);
+
+    fn extra(&self, c: &Cand) -> f64 {
+        prune_extra(self.tie_break == TieBreak::MaxEndpointSlack, c.sink_stage)
+    }
+
+    #[inline]
+    fn expand(
+        &mut self,
+        s: &mut Search<'_, '_>,
+        cand: &Cand,
+    ) -> Result<Option<Found<(f64, f64)>>, RouteError> {
+        let ctx = s.ctx;
+        let graph = ctx.graph;
+        let t = self.t;
+
+        // Step 4: source arrival.
+        if cand.node == ctx.s {
+            let total = ctx.finish_at_source(cand.cap, cand.delay);
+            if total <= t {
+                let sink_stage = if cand.sink_stage.is_nan() {
+                    total
+                } else {
+                    cand.sink_stage
+                };
+                match self.tie_break {
+                    TieBreak::FirstFound => return Ok(Some((cand.trail, (total, sink_stage)))),
+                    TieBreak::MaxEndpointSlack => {
+                        let slack_sum = (t - total) + (t - sink_stage);
+                        if self.best.is_none_or(|(s, ..)| slack_sum > s) {
+                            self.best = Some((slack_sum, cand.trail, total, sink_stage));
+                        }
+                    }
+                }
+            }
+            // An infeasible (or slack-mode) arrival keeps expanding
+            // normally: other routes may pass through this node.
+        }
+
+        // Step 5: wire expansion with admissible bound.
+        for v in graph.neighbors(cand.node) {
+            s.charge_expand()?;
+            let (re, ce) = ctx.edge(cand.node, v);
+            let mut next = *cand;
+            next.node = v;
+            next.cap = cand.cap + ce;
+            next.delay = cand.delay + re * (cand.cap + ce / 2.0);
+            if self.wire_bound && next.delay > t - ctx.reg_k - ctx.min_res * next.cap * 1.0e-3 {
+                s.stats.bound_rejected += 1;
+            } else if self.doomed(s, &next) {
+                s.stats.goal_pruned += 1;
+            } else {
+                s.offer(self, next, None);
+            }
+        }
+
+        let internal = cand.node != ctx.s && cand.node != ctx.t && !cand.gate_here;
+
+        // Step 7: buffer insertion (`d' ≤ T_φ − K(r)` bound).
+        if internal && graph.is_insertable(cand.node) {
+            for b in &ctx.buffers {
+                s.charge_expand()?;
+                let mut next = *cand;
+                next.cap = b.cap;
+                next.delay = cand.delay + b.res * cand.cap * 1.0e-3 + b.k;
+                if next.delay > t - ctx.reg_k {
+                    s.stats.bound_rejected += 1;
+                } else if self.doomed(s, &next) {
+                    s.stats.goal_pruned += 1;
+                } else {
+                    s.offer(self, next, Some(b.id));
+                }
+            }
+        }
+
+        // Step 8: register insertion → next wave. Never goal-pruned:
+        // a claim resets the candidate to the register's own load,
+        // so the per-wave distance bound does not apply to it
+        // (DESIGN.md §15 claim-divergence argument).
+        if internal && graph.is_register_allowed(cand.node) && !self.reg_marked[cand.node.index()] {
+            let stage = ctx.register_stage(cand.cap, cand.delay);
+            if stage <= t {
+                self.reg_marked[cand.node.index()] = true;
+                if let Some(trace) = self.trace.as_deref_mut() {
+                    let wave = s.stats.waves as usize;
+                    if trace.register_rings.len() <= wave {
+                        trace.register_rings.resize(wave + 1, Vec::new());
+                    }
+                    trace.register_rings[wave].push(graph.point(cand.node));
+                }
+                let mut next = *cand;
+                next.cap = ctx.reg_cap;
+                next.delay = ctx.reg_setup;
+                if next.sink_stage.is_nan() {
+                    next.sink_stage = stage;
+                }
+                s.stash(next, ctx.reg_id, f64::from(s.stats.waves + 1));
+            } else {
+                s.stats.bound_rejected += 1;
+            }
+        }
+        Ok(None)
+    }
+
+    /// The slack tie-break returns the best arrival of the winning wave
+    /// once that wave is exhausted.
+    fn wave_end(&mut self, _s: &Search<'_, '_>) -> WaveEnd<(f64, f64)> {
+        match self.best.take() {
+            Some((_, trail, source_stage, sink_stage)) => {
+                WaveEnd::Found((trail, (source_stage, sink_stage)))
+            }
+            None => WaveEnd::Advance,
+        }
+    }
+
+    /// A doomed seed cannot arrive feasibly within `p_ub` registers; its
+    /// claim marking and trace ring entry are already recorded, so
+    /// dropping the promotion only removes work (DESIGN.md §15).
+    fn seed_doomed(&self, s: &Search<'_, '_>, seed: &Cand) -> bool {
+        self.doomed(s, seed)
     }
 }
 

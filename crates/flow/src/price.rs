@@ -1,6 +1,6 @@
-//! The priced geometry oracle: a budget-charged Dijkstra whose edge
-//! weight is physical length times a caller-supplied congestion
-//! multiplier.
+//! The priced geometry oracle: the grid's Dijkstra
+//! ([`cheapest_path`]) with edge weight physical length times a
+//! caller-supplied congestion multiplier, charged to the flow budget.
 //!
 //! This is the min-cost oracle of the fractional multicommodity phase
 //! (Albrecht et al., PAPERS.md): the fractional iteration and the
@@ -11,40 +11,13 @@
 //!
 //! Every pop and every relaxation charges the shared flow-phase
 //! [`BudgetMeter`], so a blown deadline surfaces as
-//! [`RouteError::BudgetExceeded`] from inside the loop (crlint CR005)
-//! and the caller degrades instead of hanging.
+//! [`RouteError::BudgetExceeded`] from inside the Dijkstra loop (crlint
+//! CR005 guards it in `clockroute_grid::dijkstra`) and the caller
+//! degrades instead of hanging.
 
 use clockroute_core::{BudgetMeter, RouteError};
 use clockroute_geom::Point;
-use clockroute_grid::{GridGraph, NodeId};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-#[derive(PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on priced distance; ties broken by node id for
-        // determinism. `total_cmp` keeps the heap invariant even for
-        // non-finite keys (the canonical CR001 pattern).
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
+use clockroute_grid::{cheapest_path, GridGraph};
 
 /// Cheapest source→sink geometry under `multiplier` (a per-edge factor
 /// ≥ 1 applied to physical length). Returns:
@@ -64,50 +37,16 @@ pub(crate) fn priced_path(
     multiplier: &dyn Fn(Point, Point) -> f64,
     meter: &mut BudgetMeter,
 ) -> Result<Option<Vec<Point>>, RouteError> {
-    if !graph.contains(source) || !graph.contains(sink) {
-        return Ok(None);
-    }
-    let s = graph.node(source);
-    let t = graph.node(sink);
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<NodeId>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[s.index()] = 0.0;
-    heap.push(HeapEntry { dist: 0.0, node: s });
-
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        meter.charge_pop(0)?;
-        if d > dist[u.index()] {
-            continue;
+    let weight = |u, v| graph.edge_length(u, v).um() * multiplier(graph.point(u), graph.point(v));
+    let charge = |pop| {
+        if pop {
+            meter.charge_pop(0)
+        } else {
+            meter.charge_expand()
         }
-        if u == t {
-            break;
-        }
-        for v in graph.neighbors(u) {
-            meter.charge_expand()?;
-            let pu = graph.point(u);
-            let pv = graph.point(v);
-            let nd = d + graph.edge_length(u, v).um() * multiplier(pu, pv);
-            if nd < dist[v.index()] {
-                dist[v.index()] = nd;
-                prev[v.index()] = Some(u);
-                heap.push(HeapEntry { dist: nd, node: v });
-            }
-        }
-    }
-
-    if dist[t.index()].is_infinite() {
-        return Ok(None);
-    }
-    let mut points = vec![graph.point(t)];
-    let mut cur = t;
-    while let Some(p) = prev[cur.index()] {
-        points.push(graph.point(p));
-        cur = p;
-    }
-    points.reverse();
-    Ok(Some(points))
+    };
+    let path = cheapest_path(graph, source, sink, weight, charge)?;
+    Ok(path.ok().map(|p| p.points().to_vec()))
 }
 
 #[cfg(test)]
@@ -134,6 +73,9 @@ mod tests {
         assert_eq!(path.len(), 10);
         assert_eq!(path[0], p(0, 5));
         assert_eq!(path[9], p(9, 5));
+        let unpriced = clockroute_grid::shortest_path(&g, p(2, 1), p(7, 8)).unwrap();
+        let priced = priced_path(&g, p(2, 1), p(7, 8), &|_, _| 1.0, &mut meter()).unwrap();
+        assert_eq!(priced.as_deref(), Some(unpriced.points()));
     }
 
     #[test]

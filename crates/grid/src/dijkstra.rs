@@ -7,8 +7,10 @@
 //! shortest-path length, since detours only add delay).
 
 use crate::{GridGraph, GridPath, NodeId};
+use clockroute_geom::Point;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 
@@ -33,6 +35,10 @@ struct HeapEntry {
 impl Eq for HeapEntry {}
 
 impl Ord for HeapEntry {
+    // Inline across crates: `cheapest_path` is generic, so its heap is
+    // instantiated in the caller's crate, where an outlined comparison
+    // would slow every sift.
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // Min-heap on distance; ties broken by node id for determinism.
         // `total_cmp` keeps the heap invariant even for non-finite
@@ -48,6 +54,7 @@ impl Ord for HeapEntry {
 // `Ord` above, so NaN can never corrupt the heap invariant. crlint
 // accepts exactly this shape (see crates/lint, rule CR001).
 impl PartialOrd for HeapEntry {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -57,8 +64,8 @@ impl PartialOrd for HeapEntry {
 ///
 /// # Errors
 ///
-/// Returns [`ShortestPathError`] if the sink is unreachable (wiring
-/// blockages disconnect the terminals).
+/// Returns [`ShortestPathError`] if a terminal is off the grid or the
+/// sink is unreachable (wiring blockages disconnect the terminals).
 ///
 /// # Example
 ///
@@ -73,9 +80,40 @@ impl PartialOrd for HeapEntry {
 /// ```
 pub fn shortest_path(
     graph: &GridGraph,
-    source: clockroute_geom::Point,
-    sink: clockroute_geom::Point,
+    source: Point,
+    sink: Point,
 ) -> Result<GridPath, ShortestPathError> {
+    let length = |u, v| graph.edge_length(u, v).um();
+    cheapest_path(graph, source, sink, length, |_| Ok::<(), Infallible>(()))
+        .unwrap_or_else(|never| match never {})
+}
+
+/// Dijkstra cheapest path under a caller-supplied edge weight: the one
+/// implementation behind [`shortest_path`] and the flow planner's
+/// priced geometry oracle.
+///
+/// `weight(u, v)` is the cost of the edge `u → v`, finite and
+/// non-negative. `charge(pop)` runs before every pop (`pop == true`)
+/// and every edge relaxation (`pop == false`); an `Err` from it stops
+/// the search at once and is returned as the outer error, which lets a
+/// caller meter the search against a budget. Ties are broken by node
+/// id, so equal inputs give equal paths.
+///
+/// # Errors
+///
+/// The outer `Err` is the first error `charge` returned. The inner
+/// [`ShortestPathError`] reports a terminal off the grid or an
+/// unreachable sink.
+pub fn cheapest_path<E>(
+    graph: &GridGraph,
+    source: Point,
+    sink: Point,
+    mut weight: impl FnMut(NodeId, NodeId) -> f64,
+    mut charge: impl FnMut(bool) -> Result<(), E>,
+) -> Result<Result<GridPath, ShortestPathError>, E> {
+    if !graph.contains(source) || !graph.contains(sink) {
+        return Ok(Err(ShortestPathError));
+    }
     let s = graph.node(source);
     let t = graph.node(sink);
     let n = graph.node_count();
@@ -85,11 +123,8 @@ pub fn shortest_path(
     dist[s.index()] = 0.0;
     heap.push(HeapEntry { dist: 0.0, node: s });
 
-    // Edge lengths are finite by construction (GridGraph validates the
-    // pitch), so every relaxed distance stays finite; the debug assert
-    // below guards the total order the heap relies on.
-
     while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
+        charge(true)?;
         if d > dist[u.index()] {
             continue;
         }
@@ -97,7 +132,8 @@ pub fn shortest_path(
             break;
         }
         for v in graph.neighbors(u) {
-            let nd = d + graph.edge_length(u, v).um();
+            charge(false)?;
+            let nd = d + weight(u, v);
             debug_assert!(nd.is_finite(), "non-finite heap key {nd}");
             if nd < dist[v.index()] {
                 dist[v.index()] = nd;
@@ -108,7 +144,7 @@ pub fn shortest_path(
     }
 
     if dist[t.index()].is_infinite() {
-        return Err(ShortestPathError);
+        return Ok(Err(ShortestPathError));
     }
     let mut points = vec![graph.point(t)];
     let mut cur = t;
@@ -117,13 +153,13 @@ pub fn shortest_path(
         cur = p;
     }
     points.reverse();
-    Ok(GridPath::new(points))
+    Ok(Ok(GridPath::new(points)))
 }
 
 /// Breadth-first hop distances from `source` to every node (`u32::MAX` for
 /// unreachable nodes). Useful for wavefront studies and reachability
 /// checks.
-pub fn bfs_hops(graph: &GridGraph, source: clockroute_geom::Point) -> Vec<u32> {
+pub fn bfs_hops(graph: &GridGraph, source: Point) -> Vec<u32> {
     let s = graph.node(source);
     let mut hops = vec![u32::MAX; graph.node_count()];
     let mut queue = std::collections::VecDeque::new();
@@ -145,7 +181,7 @@ pub fn bfs_hops(graph: &GridGraph, source: clockroute_geom::Point) -> Vec<u32> {
 mod tests {
     use super::*;
     use clockroute_geom::units::Length;
-    use clockroute_geom::{BlockageMap, Point, Rect};
+    use clockroute_geom::{BlockageMap, Rect};
 
     fn p(x: u32, y: u32) -> Point {
         Point::new(x, y)
@@ -194,6 +230,51 @@ mod tests {
         let err = shortest_path(&g, p(0, 0), p(4, 4)).unwrap_err();
         assert_eq!(err, ShortestPathError);
         assert_eq!(err.to_string(), "no route exists between source and sink");
+    }
+
+    #[test]
+    fn off_grid_terminals_report_an_error() {
+        let g = GridGraph::open(4, 4, Length::from_um(100.0));
+        assert_eq!(shortest_path(&g, p(0, 0), p(9, 9)), Err(ShortestPathError));
+        assert_eq!(shortest_path(&g, p(4, 0), p(0, 0)), Err(ShortestPathError));
+    }
+
+    #[test]
+    fn weights_steer_the_path_and_charges_stop_it() {
+        // Every horizontal edge on row 0 is ruinously expensive: the
+        // path must dip to row 1 and come back.
+        let g = GridGraph::open(6, 3, Length::from_um(100.0));
+        let weight = |u, v| {
+            let (a, b) = (g.point(u), g.point(v));
+            if a.y == 0 && b.y == 0 {
+                1000.0
+            } else {
+                1.0
+            }
+        };
+        let (mut pops, mut relaxations) = (0, 0);
+        let count = |pop: bool| {
+            if pop {
+                pops += 1;
+            } else {
+                relaxations += 1;
+            }
+            Ok::<(), ()>(())
+        };
+        let path = cheapest_path(&g, p(0, 0), p(5, 0), weight, count)
+            .unwrap()
+            .unwrap();
+        assert!(
+            path.points().iter().any(|q| q.y == 1),
+            "path stayed on the priced row"
+        );
+        assert!(pops > 0 && relaxations >= pops - 1);
+        // The first charge error stops the search and comes back as is.
+        let stop = |pop: bool| if pop { Err("stopped") } else { Ok(()) };
+        assert_eq!(
+            cheapest_path(&g, p(0, 0), p(5, 0), weight, stop),
+            Err("stopped")
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod path;
 pub mod render;
 
 pub use capacity::{edge_key, EdgeCapacities, EdgeKey};
-pub use dijkstra::{bfs_hops, shortest_path, ShortestPathError};
+pub use dijkstra::{bfs_hops, cheapest_path, shortest_path, ShortestPathError};
 pub use graph::{GridGraph, NodeId};
 pub use path::{GridPath, ValidatePathError};
 pub use render::{render_grid, RenderOptions};

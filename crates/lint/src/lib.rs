@@ -169,8 +169,11 @@ fn sort_findings(findings: &mut [Finding]) {
 }
 
 /// Walks the workspace rooted at `root` and lints every first-party
-/// `.rs` file. Vendored stubs (`vendor/`), build output (`target/`) and
-/// lint fixtures (`fixtures/`) are excluded; everything else — sources,
+/// `.rs` file. Vendored stubs (`vendor/`), build output (`target/`),
+/// lint fixtures (`fixtures/`) and nested cargo workspaces (a
+/// subdirectory whose `Cargo.toml` declares its own `[workspace]`, such
+/// as the wall-clock benchmark in `perfbench/`) are excluded; everything
+/// else — sources,
 /// integration tests, benches, examples, this crate itself — is
 /// scanned (test scope relaxes some rules per file, see
 /// [`scan::FileCtx::in_test`]).
@@ -223,6 +226,13 @@ pub fn check_allowlists(root: &Path) -> Vec<String> {
     dead
 }
 
+/// `true` if `dir` holds the root of a cargo workspace of its own: its
+/// members are not part of the workspace being linted.
+fn is_nested_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|toml| toml.lines().any(|line| line.trim() == "[workspace]"))
+}
+
 fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), String> {
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("reading {}: {e}", dir.display()))?;
@@ -232,7 +242,9 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), Stri
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if matches!(name.as_ref(), "target" | "vendor" | "fixtures" | ".git") {
+            if matches!(name.as_ref(), "target" | "vendor" | "fixtures" | ".git")
+                || is_nested_workspace(&path)
+            {
                 continue;
             }
             collect_rs(root, &path, out)?;

@@ -121,13 +121,16 @@ fn cr005_fires_on_uncharged_queue_loops() {
         [("CR005".to_string(), 6), ("CR005".to_string(), 52)],
         "{got:?}"
     );
-    // The flow oracle's priced Dijkstra is held to the same bar.
-    let flow = run("cr005.rs", "crates/flow/src/price.rs");
-    assert_eq!(
-        flow,
-        [("CR005".to_string(), 6), ("CR005".to_string(), 52)],
-        "{flow:?}"
-    );
+    // So are the arena engine's search driver and the grid Dijkstra the
+    // flow oracle prices geometry with.
+    for rel in ["crates/core/src/search.rs", "crates/grid/src/dijkstra.rs"] {
+        let got = run("cr005.rs", rel);
+        assert_eq!(
+            got,
+            [("CR005".to_string(), 6), ("CR005".to_string(), 52)],
+            "{rel}: {got:?}"
+        );
+    }
     // Outside the search modules the rule is out of scope.
     assert!(run("cr005.rs", "crates/core/src/engine.rs").is_empty());
 }
@@ -274,21 +277,24 @@ fn deleting_the_total_cmp_delegation_fails_cr001() {
 #[test]
 fn deleting_a_budget_charge_fails_cr005() {
     for rel in [
+        "crates/core/src/search.rs",
         "crates/core/src/fastpath.rs",
         "crates/core/src/rbp.rs",
         "crates/core/src/gals.rs",
         "crates/core/src/latch.rs",
-        "crates/flow/src/price.rs",
+        "crates/grid/src/dijkstra.rs",
     ] {
         let src = real_source(rel);
         assert!(
             lint_source(rel, &src).is_empty(),
             "{rel} should be crlint-clean as shipped"
         );
-        // Strip every charge call the way a careless refactor would.
+        // Strip every charge call the way a careless refactor would
+        // (the grid Dijkstra charges through its `charge` closure).
         let broken = src
             .replace("charge_pop(", "uncharged_pop_stub(")
-            .replace("charge_expand(", "uncharged_expand_stub(");
+            .replace("charge_expand(", "uncharged_expand_stub(")
+            .replace("charge(", "uncharged_stub(");
         assert_ne!(src, broken, "{rel} lost its charge anchors");
         let findings = lint_source(rel, &broken);
         assert!(

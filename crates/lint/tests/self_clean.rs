@@ -71,6 +71,23 @@ fn binary_exits_one_and_emits_valid_deterministic_json_on_findings() {
 }
 
 #[test]
+fn nested_cargo_workspaces_are_not_linted() {
+    // A package with its own `[workspace]` (like perfbench/) is a
+    // separate workspace; a member crate's findings still count.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("crlint_nested_ws");
+    let bad = "fn f(v: &[u32]) -> u32 {\n    *v.first().unwrap()\n}\n";
+    for sub in ["crates/core/src", "bench/src"] {
+        std::fs::create_dir_all(dir.join(sub)).expect("mkdir");
+        std::fs::write(dir.join(sub).join("bad.rs"), bad).expect("write fixture tree");
+    }
+    let manifest = "[package]\nname = \"b\"\n\n[workspace]\n";
+    std::fs::write(dir.join("bench/Cargo.toml"), manifest).expect("write nested manifest");
+    let findings = clockroute_lint::run_workspace(&dir).expect("walk");
+    let paths: Vec<&str> = findings.iter().map(|f| f.path.as_str()).collect();
+    assert_eq!(paths, ["crates/core/src/bad.rs"], "{findings:?}");
+}
+
+#[test]
 fn binary_exits_two_on_internal_error() {
     let out = Command::new(env!("CARGO_BIN_EXE_crlint"))
         .args(["--no-such-flag"])

@@ -11,6 +11,11 @@ cargo build --release
 cargo run --release -p clockroute-lint -- --workspace
 cargo test --workspace -q
 cargo test --workspace --release -q
+# The benchmark (perfbench/, a cargo workspace of its own) builds
+# against the crates' public APIs: run its tests here, in the build
+# directory perfbench/run.sh uses, so an API change that breaks it fails
+# this gate instead of the benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo test --offline --manifest-path perfbench/Cargo.toml -q
 # Lock-discipline gate: the service concurrency and chaos suites in the
 # debug profile, where every OrderedMutex asserts rank monotonicity at
 # runtime (lockcheck::ENABLED; see DESIGN.md §16). The workspace run
