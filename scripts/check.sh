@@ -33,6 +33,11 @@ cargo test --release -q --test differential
 # capacity-relaxation and net-permutation invariants must hold (see
 # crates/flow/tests/flow_differential.rs and DESIGN.md §17).
 cargo test --release -q -p clockroute-flow --test flow_differential
+# Flow-mode exact pin: routes, report, summary and flow.* counters on
+# the shipped flow scenarios and two generated congested instances must
+# match recorded literals, so a changed flow plan fails here by name
+# (see crates/flow/tests/flow_pin.rs).
+cargo test --release -q -p clockroute-flow --test flow_pin
 # Substrate performance gate: re-run the arena engine on small grids and
 # fail if pops regressed >10% against the last BENCH_core.json rows
 # (bootstrap runs with no baseline pass; see DESIGN.md §15).
