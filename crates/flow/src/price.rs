@@ -14,13 +14,21 @@
 //! [`RouteError::BudgetExceeded`] from inside the Dijkstra loop (crlint
 //! CR005 guards it in `clockroute_grid::dijkstra`) and the caller
 //! degrades instead of hanging.
+//!
+//! The fractional phase does not call the oracle for a net whose last
+//! path crosses no edge repriced since that path was found: prices only
+//! rise, so the oracle would return the same path (DESIGN.md §17). A
+//! skipped net charges no budget — there is no search to meter — so a
+//! candidate-capped budget reaches further than one call per net and
+//! round would.
 
 use clockroute_core::{BudgetMeter, RouteError};
 use clockroute_geom::Point;
-use clockroute_grid::{cheapest_path, GridGraph};
+use clockroute_grid::{cheapest_path, GridGraph, NodeId};
 
 /// Cheapest source→sink geometry under `multiplier` (a per-edge factor
-/// ≥ 1 applied to physical length). Returns:
+/// ≥ 1 applied to physical length, given the edge's end nodes).
+/// Returns:
 ///
 /// * `Ok(Some(points))` — the priced shortest path;
 /// * `Ok(None)` — no route exists (terminals off-grid or disconnected);
@@ -34,10 +42,10 @@ pub(crate) fn priced_path(
     graph: &GridGraph,
     source: Point,
     sink: Point,
-    multiplier: &dyn Fn(Point, Point) -> f64,
+    multiplier: impl Fn(NodeId, NodeId) -> f64,
     meter: &mut BudgetMeter,
 ) -> Result<Option<Vec<Point>>, RouteError> {
-    let weight = |u, v| graph.edge_length(u, v).um() * multiplier(graph.point(u), graph.point(v));
+    let weight = |u, v| graph.edge_length(u, v).um() * multiplier(u, v);
     let charge = |pop| {
         if pop {
             meter.charge_pop(0)
@@ -67,14 +75,14 @@ mod tests {
     #[test]
     fn unit_multiplier_matches_shortest_path() {
         let g = GridGraph::open(10, 10, Length::from_um(100.0));
-        let path = priced_path(&g, p(0, 5), p(9, 5), &|_, _| 1.0, &mut meter())
+        let path = priced_path(&g, p(0, 5), p(9, 5), |_, _| 1.0, &mut meter())
             .unwrap()
             .unwrap();
         assert_eq!(path.len(), 10);
         assert_eq!(path[0], p(0, 5));
         assert_eq!(path[9], p(9, 5));
         let unpriced = clockroute_grid::shortest_path(&g, p(2, 1), p(7, 8)).unwrap();
-        let priced = priced_path(&g, p(2, 1), p(7, 8), &|_, _| 1.0, &mut meter()).unwrap();
+        let priced = priced_path(&g, p(2, 1), p(7, 8), |_, _| 1.0, &mut meter()).unwrap();
         assert_eq!(priced.as_deref(), Some(unpriced.points()));
     }
 
@@ -83,14 +91,14 @@ mod tests {
         // Make every horizontal edge on row 0 ruinously expensive; the
         // path must dip to row 1 and come back.
         let g = GridGraph::open(6, 3, Length::from_um(100.0));
-        let mult = |a: Point, b: Point| {
-            if a.y == 0 && b.y == 0 {
+        let mult = |a, b| {
+            if g.point(a).y == 0 && g.point(b).y == 0 {
                 1000.0
             } else {
                 1.0
             }
         };
-        let path = priced_path(&g, p(0, 0), p(5, 0), &mult, &mut meter())
+        let path = priced_path(&g, p(0, 0), p(5, 0), mult, &mut meter())
             .unwrap()
             .unwrap();
         assert!(path.iter().any(|q| q.y == 1), "path stayed on priced row");
@@ -100,13 +108,13 @@ mod tests {
     fn disconnected_and_off_grid_return_none() {
         let g = GridGraph::open(4, 4, Length::from_um(100.0));
         assert_eq!(
-            priced_path(&g, p(0, 0), p(9, 9), &|_, _| 1.0, &mut meter()).unwrap(),
+            priced_path(&g, p(0, 0), p(9, 9), |_, _| 1.0, &mut meter()).unwrap(),
             None
         );
         let mut g2 = GridGraph::open(4, 1, Length::from_um(100.0));
         g2.blockage_mut().block_edge(p(1, 0), p(2, 0));
         assert_eq!(
-            priced_path(&g2, p(0, 0), p(3, 0), &|_, _| 1.0, &mut meter()).unwrap(),
+            priced_path(&g2, p(0, 0), p(3, 0), |_, _| 1.0, &mut meter()).unwrap(),
             None
         );
     }
@@ -116,7 +124,7 @@ mod tests {
         let g = GridGraph::open(8, 8, Length::from_um(100.0));
         let budget = SearchBudget::unlimited().with_deadline(Duration::ZERO);
         let mut m = BudgetMeter::new(budget, SearchStage::Flow);
-        let err = priced_path(&g, p(0, 0), p(7, 7), &|_, _| 1.0, &mut m).unwrap_err();
+        let err = priced_path(&g, p(0, 0), p(7, 7), |_, _| 1.0, &mut m).unwrap_err();
         assert!(matches!(
             err,
             RouteError::BudgetExceeded {
@@ -129,9 +137,9 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let g = GridGraph::open(12, 12, Length::from_um(100.0));
-        let mult = |a: Point, b: Point| 1.0 + 0.1 * f64::from(a.x.min(b.x));
-        let a = priced_path(&g, p(0, 0), p(11, 11), &mult, &mut meter()).unwrap();
-        let b = priced_path(&g, p(0, 0), p(11, 11), &mult, &mut meter()).unwrap();
+        let mult = |a, b| 1.0 + 0.1 * f64::from(g.point(a).x.min(g.point(b).x));
+        let a = priced_path(&g, p(0, 0), p(11, 11), mult, &mut meter()).unwrap();
+        let b = priced_path(&g, p(0, 0), p(11, 11), mult, &mut meter()).unwrap();
         assert_eq!(a, b);
     }
 }
