@@ -77,7 +77,7 @@ pub use lockcheck::{LockRank, OrderedCondvar, OrderedMutex};
 pub use rbp::{RbpSpec, RbpVariant, TieBreak, WaveTrace};
 pub use result::{FastPathSolution, GalsSolution, RbpSolution, RoutedPath};
 pub use stats::{SearchStats, TouchedRegion};
-pub use telemetry::{MetricsRecorder, Telemetry, TelemetryHandle, TraceWriter};
+pub use telemetry::{MetricsRecorder, OpLog, Telemetry, TelemetryHandle, TraceWriter};
 
 #[cfg(test)]
 mod send_audit {
@@ -110,5 +110,7 @@ mod send_audit {
         assert_sync::<TelemetryHandle<'static>>();
         assert_send::<MetricsRecorder>();
         assert_sync::<MetricsRecorder>();
+        assert_send::<OpLog>();
+        assert_sync::<OpLog>();
     }
 }

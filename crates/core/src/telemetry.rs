@@ -7,9 +7,10 @@
 //!
 //! * **Counters and gauges** are pure functions of the search inputs
 //!   (pops, pushes, prunes, promotions, arena bytes, budget charges).
-//!   They are replayed from per-net shards in commit order, so an
-//!   aggregated [`MetricsRecorder`] produces **byte-identical JSON for
-//!   every `--jobs` value** — asserted by the CLI end-to-end tests.
+//!   They are recorded into per-net [`OpLog`] shards and replayed in
+//!   commit order, so an aggregated [`MetricsRecorder`] produces
+//!   **byte-identical JSON for every `--jobs` value** — asserted by the
+//!   CLI end-to-end tests.
 //! * **Spans and events** carry wall-clock time and scheduling detail
 //!   (rounds, conflicts, re-routes). They are trace-only: useful for
 //!   reading one run, never included in the deterministic metrics JSON.
@@ -18,10 +19,11 @@
 //! [`TelemetryHandle`], a `Copy` option-of-reference whose methods
 //! compile to a branch on `None` — zero cost unless a sink is attached.
 //!
-//! Two concrete sinks ship here: [`MetricsRecorder`] (in-memory
-//! aggregation + ordered op log for shard replay) and [`TraceWriter`]
-//! (JSONL event stream). [`Tee`] fans one instrumentation stream out to
-//! both.
+//! Three concrete sinks ship here: [`MetricsRecorder`] (in-memory
+//! aggregation of counters and gauges, constant size however long it
+//! lives), [`OpLog`] (every operation in call order, for shard replay)
+//! and [`TraceWriter`] (JSONL event stream). [`Tee`] fans one
+//! instrumentation stream out to two sinks.
 
 use crate::lockcheck::{LockRank, OrderedMutex};
 use crate::stats::SearchStats;
@@ -230,8 +232,8 @@ impl<'a> TelemetryHandle<'a> {
     }
 }
 
-/// One recorded operation, kept in call order so a per-net shard can be
-/// replayed into an aggregate sink at commit time.
+/// One recorded operation, kept in call order so a per-net [`OpLog`]
+/// shard can be replayed into an aggregate sink at commit time.
 #[derive(Debug, Clone)]
 enum Op {
     Counter(String, u64),
@@ -267,41 +269,32 @@ impl OwnedValue {
     }
 }
 
-#[derive(Debug, Default)]
-struct RecorderInner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
-    log: Vec<Op>,
-}
-
-/// In-memory aggregating sink.
+/// A log-only sink: every operation — spans and events included — in
+/// call order, so the whole shard can be replayed into another sink
+/// with [`replay_into`](OpLog::replay_into).
 ///
-/// Aggregates counters (sum) and gauges (max) into sorted maps, and
-/// additionally keeps every operation — spans and events included — in
-/// call order so the whole shard can be replayed with [`replay_into`]
-/// (`MetricsRecorder::replay_into`). The planner gives each net its own
-/// shard and replays committed shards in net order, which is what makes
-/// the merged metrics independent of worker count and scheduling.
+/// The planner gives each net its own shard and replays committed
+/// shards in net order, which is what makes the merged metrics
+/// independent of worker count and scheduling; `crserve` does the same
+/// per solve. A log grows with every operation, so it is for shards
+/// that are replayed and dropped, never for a long-lived sink.
 #[derive(Debug)]
-pub struct MetricsRecorder {
-    /// Telemetry-ranked (the leaf of the lattice): a recorder may be
-    /// locked while any other lock is held, but must itself call out
-    /// to nothing. Poisoning is ridden through inside `OrderedMutex` —
-    /// telemetry must never take the search down.
-    inner: OrderedMutex<RecorderInner>,
+pub struct OpLog {
+    /// Telemetry-ranked, like [`MetricsRecorder`].
+    log: OrderedMutex<Vec<Op>>,
 }
 
-impl Default for MetricsRecorder {
-    fn default() -> MetricsRecorder {
-        MetricsRecorder::new()
+impl Default for OpLog {
+    fn default() -> OpLog {
+        OpLog::new()
     }
 }
 
-impl MetricsRecorder {
-    /// An empty recorder.
-    pub fn new() -> MetricsRecorder {
-        MetricsRecorder {
-            inner: OrderedMutex::new(LockRank::Telemetry, "telemetry.recorder", RecorderInner::default()),
+impl OpLog {
+    /// An empty log.
+    pub fn new() -> OpLog {
+        OpLog {
+            log: OrderedMutex::new(LockRank::Telemetry, "telemetry.oplog", Vec::new()),
         }
     }
 
@@ -309,10 +302,10 @@ impl MetricsRecorder {
     /// another sink.
     pub fn replay_into(&self, sink: &dyn Telemetry) {
         // Snapshot the log and release before replaying: the sink is
-        // typically another Telemetry-ranked recorder, and replaying
-        // under our own lock would be a same-rank double acquire (and
-        // a needlessly long hold).
-        let log: Vec<Op> = self.inner.lock().log.clone();
+        // typically a Telemetry-ranked recorder, and replaying under
+        // our own lock would be a same-rank double acquire (and a
+        // needlessly long hold).
+        let log: Vec<Op> = self.log.lock().clone();
         for op in &log {
             match op {
                 Op::Counter(name, delta) => sink.counter(name, *delta),
@@ -334,6 +327,70 @@ impl MetricsRecorder {
                     sink.event(name, &borrowed);
                 }
             }
+        }
+    }
+}
+
+impl Telemetry for OpLog {
+    fn counter(&self, name: &str, delta: u64) {
+        self.log.lock().push(Op::Counter(name.to_owned(), delta));
+    }
+
+    fn gauge_max(&self, name: &str, value: u64) {
+        self.log.lock().push(Op::Gauge(name.to_owned(), value));
+    }
+
+    fn gauge_set(&self, name: &str, value: u64) {
+        self.log.lock().push(Op::GaugeSet(name.to_owned(), value));
+    }
+
+    fn span_ns(&self, name: &str, nanos: u64) {
+        self.log.lock().push(Op::Span(name.to_owned(), nanos));
+    }
+
+    fn event(&self, name: &str, fields: &[(&str, Value<'_>)]) {
+        let owned = fields
+            .iter()
+            .map(|(k, v)| ((*k).to_owned(), OwnedValue::of(v)))
+            .collect();
+        self.log.lock().push(Op::Event(name.to_owned(), owned));
+    }
+}
+
+#[derive(Debug, Default)]
+struct RecorderInner {
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, u64>,
+}
+
+/// In-memory aggregating sink.
+///
+/// Aggregates counters (sum) and gauges (max, or last value for
+/// [`gauge_set`](Telemetry::gauge_set)) into sorted maps. Spans and
+/// events are trace-only and dropped here, so the recorder's size is
+/// bounded by the number of distinct metric names however long it
+/// lives — the root sink of a long-running `crserve` included. Shards
+/// that must be replayed are [`OpLog`]s.
+#[derive(Debug)]
+pub struct MetricsRecorder {
+    /// Telemetry-ranked (the leaf of the lattice): a recorder may be
+    /// locked while any other lock is held, but must itself call out
+    /// to nothing. Poisoning is ridden through inside `OrderedMutex` —
+    /// telemetry must never take the search down.
+    inner: OrderedMutex<RecorderInner>,
+}
+
+impl Default for MetricsRecorder {
+    fn default() -> MetricsRecorder {
+        MetricsRecorder::new()
+    }
+}
+
+impl MetricsRecorder {
+    /// An empty recorder.
+    pub fn new() -> MetricsRecorder {
+        MetricsRecorder {
+            inner: OrderedMutex::new(LockRank::Telemetry, "telemetry.recorder", RecorderInner::default()),
         }
     }
 
@@ -427,33 +484,32 @@ impl MetricsRecorder {
 impl Telemetry for MetricsRecorder {
     fn counter(&self, name: &str, delta: u64) {
         let mut inner = self.inner.lock();
-        *inner.counters.entry(name.to_owned()).or_insert(0) += delta;
-        inner.log.push(Op::Counter(name.to_owned(), delta));
+        match inner.counters.get_mut(name) {
+            Some(total) => *total += delta,
+            None => {
+                inner.counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     fn gauge_max(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock();
-        let slot = inner.gauges.entry(name.to_owned()).or_insert(0);
-        *slot = (*slot).max(value);
-        inner.log.push(Op::Gauge(name.to_owned(), value));
+        match inner.gauges.get_mut(name) {
+            Some(peak) => *peak = (*peak).max(value),
+            None => {
+                inner.gauges.insert(name.to_owned(), value);
+            }
+        }
     }
 
     fn gauge_set(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock();
-        inner.gauges.insert(name.to_owned(), value);
-        inner.log.push(Op::GaugeSet(name.to_owned(), value));
-    }
-
-    fn span_ns(&self, name: &str, nanos: u64) {
-        self.inner.lock().log.push(Op::Span(name.to_owned(), nanos));
-    }
-
-    fn event(&self, name: &str, fields: &[(&str, Value<'_>)]) {
-        let owned = fields
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), OwnedValue::of(v)))
-            .collect();
-        self.inner.lock().log.push(Op::Event(name.to_owned(), owned));
+        match inner.gauges.get_mut(name) {
+            Some(last) => *last = value,
+            None => {
+                inner.gauges.insert(name.to_owned(), value);
+            }
+        }
     }
 }
 
@@ -794,8 +850,20 @@ mod tests {
     }
 
     #[test]
+    fn recorder_keeps_no_spans_or_events() {
+        let rec = MetricsRecorder::new();
+        for i in 0..1000 {
+            rec.span_ns("s", i);
+            rec.event("e", &[("net", Value::Str("n0"))]);
+        }
+        rec.counter("a", 1);
+        assert_eq!(rec.counters(), [("a".to_owned(), 1)]);
+        assert!(rec.gauges().is_empty());
+    }
+
+    #[test]
     fn replay_reproduces_aggregates_and_order() {
-        let shard = MetricsRecorder::new();
+        let shard = OpLog::new();
         shard.counter("a", 2);
         shard.gauge_max("g", 9);
         shard.span_ns("s", 123);
@@ -838,7 +906,7 @@ mod tests {
 
     #[test]
     fn replay_preserves_gauge_set_ordering() {
-        let shard = MetricsRecorder::new();
+        let shard = OpLog::new();
         shard.gauge_set("len", 7);
         shard.gauge_set("len", 4);
         let total = MetricsRecorder::new();

@@ -28,7 +28,7 @@ use crate::pool;
 use crate::protocol::{self, Op, Request};
 use crate::shard::{Lookup, ShardedCache};
 use clockroute_cli::{report, scenario};
-use clockroute_core::{lockcheck, MetricsRecorder, Telemetry};
+use clockroute_core::{lockcheck, MetricsRecorder, OpLog, Telemetry};
 use clockroute_elmore::GateLibrary;
 use clockroute_grid::GridGraph;
 use clockroute_plan::{Planner, SharedTelemetry, TracedPlan};
@@ -441,7 +441,7 @@ impl Service {
         parsed: &scenario::Scenario,
         prior: Option<WarmPrior>,
     ) -> Result<TracedPlan, String> {
-        let shard = Arc::new(MetricsRecorder::new());
+        let shard = Arc::new(OpLog::new());
         let shard_for_solve = shard.clone();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let (gw, gh) = parsed.grid;
